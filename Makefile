@@ -27,7 +27,11 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
+## race: the park/wake handoff tests repeated under the race detector, so a
+## lost wakeup shows up as a failure rather than passing by luck, then the
+## race detector over the packages with real concurrency.
 race:
+	$(GO) test -race -count=20 -run 'TestParker|TestParkLiveness|TestParkIdle' ./internal/spin/ ./internal/core/
 	$(GO) test -race -count=1 ./internal/core/ ./stm/ ./internal/obs/ ./internal/bloom/ ./internal/padded/ ./internal/analysis/
 
 ## bench-groupcommit: regenerate results/BENCH_group_commit.json (live mode).

@@ -43,6 +43,10 @@ type remoteEngine struct {
 	maxBatch   int
 	sharded    bool // Shards > 1: stream locks + touched-mask routing
 
+	// budget is how long every client/server wait spins before it parks
+	// (spin.ParkBudget, keyed on the System's oversubscription test).
+	budget spin.Budget
+
 	// srv[j] is shard j's server set. Exactly one entry when Shards == 1.
 	srv []*shardServer
 }
@@ -71,6 +75,10 @@ type shardServer struct {
 	// memberBufs[i] is the stable member-mask buffer for ring slot i, reused
 	// under the same overwrite bound as sigBufs.
 	memberBufs []slotMask
+	// descBufs[i] is the commit descriptor published into ring slot i,
+	// rewritten in place under the same overwrite bound, so publishing an
+	// epoch allocates nothing.
+	descBufs []commitDesc
 
 	// Group-commit scratch, owned by the commit-server goroutine: the batch
 	// member slots, the union of their write signatures, the union of their
@@ -117,6 +125,7 @@ func newRemoteEngine(sys *System, numInval, stepsAhead int) *remoteEngine {
 		stepsAhead: stepsAhead,
 		maxBatch:   sys.cfg.MaxBatch,
 		sharded:    len(sys.streams) > 1,
+		budget:     spin.ParkBudget(sys.yieldPerTx),
 	}
 	for j := range sys.streams {
 		sv := &shardServer{
@@ -127,6 +136,7 @@ func newRemoteEngine(sys *System, numInval, stepsAhead int) *remoteEngine {
 			invalSrv:   make([]Stats, perShard),
 			sigBufs:    make([]*bloom.Filter, len(sys.streams[j].ring)),
 			memberBufs: make([]slotMask, len(sys.streams[j].ring)),
+			descBufs:   make([]commitDesc, len(sys.streams[j].ring)),
 			batchIdx:   make([]int, 0, sys.cfg.MaxThreads),
 			batchWS:    bloom.NewFilter(sys.cfg.Bloom),
 			batchRS:    bloom.NewFilter(sys.cfg.Bloom),
@@ -173,17 +183,20 @@ func (e *remoteEngine) begin(tx *Tx) {}
 // the reader's own server for that stream to have processed every prior
 // commit (Algorithm 3 line 28): only then is "my status flag is still ALIVE"
 // proof that no prior commit conflicted.
+//
 //stm:hotpath
 func (e *remoteEngine) read(tx *Tx, v *Var) (*box, bool) {
 	return invalRead(tx, v, e.numInval > 0)
 }
 
 // commit is the client side of Algorithm 2's CLIENT COMMIT: publish the
-// request, then spin on the private reply field until a commit-server
-// answers. Identical for all three variants. Under sharding the request also
-// carries the transaction's shard masks, computed here from the write set
-// and the shards its reads visited; the server of the lowest touched shard
-// owns the request.
+// request, wake the commit-server that owns it, then wait on the private
+// reply field until a commit-server answers. Identical for all three
+// variants. With one stream the request is the Thread's own, built at
+// Register; under sharding it also carries the transaction's shard masks,
+// computed here from the write set and the shards its reads visited, and the
+// server of the lowest touched shard owns it.
+//
 //stm:hotpath
 func (e *remoteEngine) commit(tx *Tx) bool {
 	if tx.ws.len() == 0 {
@@ -196,34 +209,29 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 	if readerBiasedSelfAbort(tx) {
 		return false
 	}
-	req := &commitReq{ws: tx.ws, writes: 1, touched: 1}
+	req, home := tx.req, 0
 	if e.sharded {
 		var writes uint64
 		for i := range tx.ws.entries {
 			writes |= 1 << (tx.ws.entries[i].v.shardH & e.sys.shardMask)
 		}
-		req.writes = writes
-		req.touched = writes | tx.readShards
+		req = &commitReq{ws: tx.ws, writes: writes, touched: writes | tx.readShards}
+		home = bits.TrailingZeros64(req.touched)
 	}
 	sl := tx.slot
 	sl.req.Store(req)
 	sl.state.Store(reqPending)
+	e.sys.streams[home].serverPark.Unpark()
 	tx.ring.Instant(obs.KCommitReq, 0)
-	var w spin.Waiter
-	for {
-		switch sl.state.Load() {
-		case reqCommitted:
-			sl.state.Store(reqIdle)
-			sl.req.Store(nil)
-			return true
-		case reqAborted:
-			sl.state.Store(reqIdle)
-			sl.req.Store(nil)
-			tx.reason = AbortInvalidated
-			return false
-		}
-		w.Wait()
+	sl.park.Wait(e.budget, func() bool { return sl.state.Load() != reqPending })
+	committed := sl.state.Load() == reqCommitted
+	sl.state.Store(reqIdle)
+	sl.req.Store(nil)
+	if committed {
+		return true
 	}
+	tx.reason = AbortInvalidated
+	return false
 }
 
 func (e *remoteEngine) abort(tx *Tx) {}
@@ -268,55 +276,79 @@ func (e *remoteEngine) serverStats() Stats {
 // scan reaches it). Under sharding each server claims only the requests it
 // homes — single-shard requests of its own stream, plus cross-shard requests
 // whose lowest touched shard is its stream — so a request still has exactly
-// one server and the single-answerer protocol is unchanged.
+// one server and the single-answerer protocol is unchanged. A pass that
+// serves nothing parks the server until a client publishes a request homed
+// here, an invalidation-server advances (V3's deferred requests), or Close.
+//
 //stm:hotpath
 func (sv *shardServer) commitServerMain(stop func() bool) {
-	sys := sv.sys
-	sharded := sv.eng.sharded
-	home := uint64(1) << uint(sv.shard)
-	var w spin.Waiter
 	for !stop() {
-		progress := false
-		// Candidates come from the active bitmap: a PENDING requester is
-		// ALIVE for its whole wait, so its bit is set, and the per-candidate
-		// state check below filters the (routine) stale bits. A request
-		// published after the bitmap snapshot is picked up on the next pass.
-		sv.scanBuf = sys.appendPendingCandidates(sv.scanBuf[:0], 0)
-		for _, i := range sv.scanBuf {
-			if sys.slots[i].state.Load() != reqPending {
+		if sv.scan(true) {
+			continue
+		}
+		sv.st.serverPark.Wait(sv.eng.budget, func() bool { return stop() || sv.scan(false) })
+	}
+}
+
+// scan walks the PENDING requests homed to this server. With serve set it
+// is one pass of the commit-server loop and reports whether any reply was
+// sent. Without, it reports whether such a pass would find work — a request
+// V3 does not defer — and is the idle commit-server's park condition, so it
+// repeats V3's deferral test (the requester's invalidation-server has not
+// reached the stream timestamp): a condition that stayed true across a pass
+// that served nothing would spin instead of parking.
+//
+//stm:hotpath
+func (sv *shardServer) scan(serve bool) bool {
+	sys := sv.sys
+	st := sv.st
+	defers := sv.eng.numInval > 0 && sv.eng.stepsAhead > 0
+	t := st.ts.Load()
+	progress := false
+	// Candidates come from the active bitmap: a PENDING requester is ALIVE
+	// for its whole wait, so its bit is set, and the per-candidate state
+	// check below filters the (routine) stale bits. A request published after
+	// the bitmap snapshot is picked up on the next pass.
+	sv.scanBuf = sys.appendPendingCandidates(sv.scanBuf[:0], 0)
+	for _, i := range sv.scanBuf {
+		s := &sys.slots[i]
+		if s.state.Load() != reqPending {
+			continue
+		}
+		if sv.eng.sharded {
+			// The request pointer may already be retracted if another server
+			// answered its owner between the state check and this load; only
+			// requests homed here are served by this loop.
+			req := s.req.Load()
+			if req == nil {
 				continue
 			}
-			if sharded {
-				// The request pointer may already be retracted if another
-				// server answered its owner between the state check and this
-				// load; only requests homed here are served by this loop.
-				req := sys.slots[i].req.Load()
-				if req == nil {
+			if req.touched&(req.touched-1) != 0 {
+				// Cross-shard: led solo by the lowest touched shard.
+				if bits.TrailingZeros64(req.touched) != sv.shard {
 					continue
 				}
-				if req.touched&(req.touched-1) != 0 {
-					// Cross-shard: led solo by the lowest touched shard.
-					if bits.TrailingZeros64(req.touched) != sv.shard {
-						continue
-					}
-					sv.serveCrossShard(i, req)
-					progress = true
-					continue
+				if !serve {
+					return true
 				}
-				if req.touched != home {
-					continue
-				}
+				sv.serveCrossShard(i, req)
+				progress = true
+				continue
 			}
+			if req.touched != uint64(1)<<uint(sv.shard) {
+				continue
+			}
+		}
+		switch {
+		case serve:
 			if sv.serveEpochFrom(i) {
 				progress = true
 			}
-		}
-		if progress {
-			w.Reset()
-		} else {
-			w.Wait()
+		case !defers || st.invalTS[s.invalServer].Load() >= t:
+			return true
 		}
 	}
+	return progress
 }
 
 // serveEpochFrom executes one group-commit epoch on this shard's stream:
@@ -332,6 +364,7 @@ func (sv *shardServer) commitServerMain(stop func() bool) {
 // lock held, serializing against cross-shard leaders that acquired this
 // stream; with one shard the lone commit-server is the only epoch driver and
 // never locks.
+//
 //stm:hotpath
 func (sv *shardServer) serveEpochFrom(first int) bool {
 	sys := sv.sys
@@ -438,13 +471,7 @@ func (sv *shardServer) serveEpochFrom(first int) bool {
 		// been consumed by every server (Alg. 3 l. 7 / Alg. 4 l. 5). For V2
 		// (stepsAhead == 0) it additionally catches every server up to t,
 		// which makes the per-member ALIVE checks below conclusive.
-		lagBudget := 2 * uint64(sv.eng.stepsAhead)
-		for k := range st.invalTS {
-			var w spin.Waiter
-			for st.invalTS[k].Load()+lagBudget < t {
-				w.Wait()
-			}
-		}
+		st.awaitInvalServers(sv.eng.budget, t, 2*uint64(sv.eng.stepsAhead))
 		if timing {
 			now := obs.Now()
 			if sys.cfg.Stats {
@@ -468,6 +495,7 @@ func (sv *shardServer) serveEpochFrom(first int) bool {
 		s := &sys.slots[j]
 		if _, alive := s.aliveWord(); !alive {
 			s.state.Store(reqAborted)
+			s.park.Unpark()
 			continue
 		}
 		sv.batchIdx[n] = j
@@ -530,8 +558,11 @@ func (sv *shardServer) serveEpochFrom(first int) bool {
 		for _, j := range sv.batchIdx {
 			m.set(j)
 		}
-		st.ring[slot].Store(&commitDesc{bf: sv.sigBufs[slot], members: m, kd: kd})
+		d := &sv.descBufs[slot]
+		*d = commitDesc{bf: sv.sigBufs[slot], members: m, kd: kd}
+		st.ring[slot].Store(d)
 		st.ts.Add(1)
+		st.wakeInvalServers()
 		for _, j := range sv.batchIdx {
 			sys.writeBack(sys.slots[j].req.Load().ws)
 		}
@@ -548,6 +579,7 @@ func (sv *shardServer) serveEpochFrom(first int) bool {
 	}
 	for _, j := range sv.batchIdx {
 		sys.slots[j].state.Store(reqCommitted)
+		sys.slots[j].park.Unpark()
 	}
 	if timing {
 		now := obs.Now()
@@ -577,6 +609,7 @@ func (sv *shardServer) serveEpochFrom(first int) bool {
 // descending), replies, and unlocks in reverse order. Only the lowest
 // touched shard's commit-server runs this, so each request still has a
 // single answerer. Called only when Shards > 1.
+//
 //stm:hotpath
 func (sv *shardServer) serveCrossShard(i int, req *commitReq) {
 	sys := sv.sys
@@ -608,13 +641,7 @@ func (sv *shardServer) serveCrossShard(i int, req *commitReq) {
 		// overwrite below has been consumed.
 		for m := touched; m != 0; m &= m - 1 {
 			st := &sys.streams[bits.TrailingZeros64(m)]
-			t := st.ts.Load()
-			for k := range st.invalTS {
-				var w spin.Waiter
-				for st.invalTS[k].Load() < t {
-					w.Wait()
-				}
-			}
+			st.awaitInvalServers(sv.eng.budget, st.ts.Load(), 0)
 		}
 		if timing {
 			now := obs.Now()
@@ -627,6 +654,7 @@ func (sv *shardServer) serveCrossShard(i int, req *commitReq) {
 	}
 	if _, alive := s.aliveWord(); !alive {
 		s.state.Store(reqAborted)
+		s.park.Unpark()
 		unlockStreamsDesc(sys, touched)
 		return
 	}
@@ -666,8 +694,11 @@ func (sv *shardServer) serveCrossShard(i int, req *commitReq) {
 			slot := (t / 2) % uint64(len(st.ring))
 			buf := sv.eng.srv[j].sigBufs[slot]
 			buf.CopyFrom(req.ws.bf)
-			st.ring[slot].Store(&commitDesc{bf: buf, members: s.selfMask, kd: kd})
+			d := &sv.eng.srv[j].descBufs[slot]
+			*d = commitDesc{bf: buf, members: s.selfMask, kd: kd}
+			st.ring[slot].Store(d)
 			st.ts.Add(1)
+			st.wakeInvalServers()
 		}
 		sys.writeBack(req.ws)
 		for m := writes; m != 0; {
@@ -677,6 +708,7 @@ func (sv *shardServer) serveCrossShard(i int, req *commitReq) {
 		}
 	}
 	s.state.Store(reqCommitted)
+	s.park.Unpark()
 	unlockStreamsDesc(sys, touched)
 	if timing {
 		now := obs.Now()
@@ -694,6 +726,7 @@ func (sv *shardServer) serveCrossShard(i int, req *commitReq) {
 
 // unlockStreamsDesc releases the stream locks in mask in descending shard
 // order — the reverse of the handshake's acquisition order.
+//
 //stm:hotpath
 func unlockStreamsDesc(sys *System, mask uint64) {
 	for m := mask; m != 0; {
@@ -709,7 +742,9 @@ func unlockStreamsDesc(sys *System, mask uint64) {
 // transactions in this server's partition, and advance the local timestamp
 // by 2. Every stream's server k covers the same global slot partition k;
 // concurrent scans from different streams are safe because the doom CAS is
-// epoch-guarded and idempotent.
+// epoch-guarded and idempotent. A caught-up server parks until an epoch
+// driver publishes the next descriptor, or Close.
+//
 //stm:hotpath
 func (sv *shardServer) invalServerMain(k int, stop func() bool) {
 	sys := sv.sys
@@ -718,7 +753,7 @@ func (sv *shardServer) invalServerMain(k int, stop func() bool) {
 	ring := sv.invalRings[k]
 	lc := sv.invalLat[k]
 	timing := ring != nil || lc != nil
-	var w spin.Waiter
+	defers := sv.eng.stepsAhead > 0
 	for !stop() {
 		my := st.invalTS[k].Load()
 		if st.ts.Load() > my {
@@ -733,14 +768,21 @@ func (sv *shardServer) invalServerMain(k int, stop func() bool) {
 			doomed := sys.invalidatePartition(k, d.members, d.bf, ring, d.kd)
 			atomic.AddUint64(&stats.Invalidations, doomed)
 			st.invalTS[k].Store(my + 2)
+			// Wake the stream's epoch driver if it waits for this server,
+			// and V3's commit-server if it deferred a request for it.
+			st.drainPark.Unpark()
+			if defers {
+				st.serverPark.Unpark()
+			}
 			if timing {
 				now := obs.Now()
 				lc.Record(obs.LatScan, now-t0)
 				ring.SpanAt(obs.KInvalScan, t0, now, doomed)
 			}
-			w.Reset()
 		} else {
-			w.Wait()
+			st.invalPark[k].Wait(sv.eng.budget, func() bool {
+				return stop() || st.ts.Load() > st.invalTS[k].Load()
+			})
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"github.com/ssrg-vt/rinval/internal/bloom"
 	"github.com/ssrg-vt/rinval/internal/padded"
+	"github.com/ssrg-vt/rinval/internal/spin"
 )
 
 // Transaction status bits, packed into the low bits of a slot's status word.
@@ -85,9 +86,14 @@ type slot struct {
 	// construction — the skip set an inline committer (InvalSTM) passes to
 	// the invalidation scan.
 	selfMask slotMask
-	// Round the cold tail (8 + 8 + 24 bytes) up to a whole cache line so
-	// []slot keeps every element's spin lines exclusive.
-	_ [padded.CacheLineSize - (8+8+24)%padded.CacheLineSize]byte
+	// park is the client's reply parker (RInval): the client waits on it for
+	// state to leave PENDING, and whichever server stores the reply wakes
+	// it. Only the slot's owner ever waits, so it has one waiter. Its flag
+	// is written only on the park path, so it shares the read-mostly line.
+	park spin.Parker
+	// Round the cold tail (8 + 8 + 24 + 16 bytes) up to a whole cache line
+	// so []slot keeps every element's spin lines exclusive.
+	_ [padded.CacheLineSize - (8+8+24+16)%padded.CacheLineSize]byte
 }
 
 // aliveWord loads the status word and reports whether it denotes a live

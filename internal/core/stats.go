@@ -47,8 +47,8 @@ type Stats struct {
 	// multi-version snapshot path (Config.Versions > 0): zero aborts, zero
 	// invalidation-scan work by construction. A subset of both Commits and
 	// ReadOnly. ROFallbacks counts snapshot attempts abandoned because the
-	// writers lapped the version ring (or the epoch vector never stabilized);
-	// each one re-ran once on the regular path.
+	// writers lapped the version ring; each one re-ran once on the regular
+	// path.
 	ROCommits   uint64
 	ROFallbacks uint64
 

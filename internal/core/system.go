@@ -111,9 +111,44 @@ type commitStream struct {
 	// awaiting invalidation at once.
 	ring []padded.Pointer[commitDesc]
 
-	// Round the cold tail (two 24-byte slice headers) up to a whole cache
-	// line so []commitStream keeps every stream's spin lines exclusive.
-	_ [padded.CacheLineSize - (24+24)%padded.CacheLineSize]byte
+	// Parkers of the RInval servers' idle and drain waits (DESIGN.md §5).
+	// Each has one waiter by construction: serverPark the stream's
+	// commit-server, drainPark whichever epoch driver holds the stream (its
+	// commit-server, or a cross-shard leader under the stream lock), and
+	// invalPark[k] invalidation-server k. Their flags are written only on
+	// the park path, so they share the cold tail's read-mostly line.
+	serverPark spin.Parker
+	drainPark  spin.Parker
+	invalPark  []spin.Parker
+
+	// Round the cold tail (three 24-byte slice headers, two 16-byte
+	// parkers) up to a whole cache line so []commitStream keeps every
+	// stream's spin lines exclusive.
+	_ [padded.CacheLineSize - (3*24+2*16)%padded.CacheLineSize]byte
+}
+
+// awaitInvalServers waits until no invalidation-server of st trails t by
+// more than lag, parking on drainPark; the servers wake it as they advance.
+// Only the stream's epoch driver calls it.
+//
+//stm:hotpath
+func (st *commitStream) awaitInvalServers(b spin.Budget, t, lag uint64) {
+	for k := range st.invalTS {
+		if st.invalTS[k].Load()+lag < t {
+			st.drainPark.Wait(b, func() bool { return st.invalTS[k].Load()+lag >= t })
+		}
+	}
+}
+
+// wakeInvalServers wakes every parked invalidation-server of st. The epoch
+// driver calls it right after the odd transition that publishes a
+// descriptor, so the scans overlap the write-back.
+//
+//stm:hotpath
+func (st *commitStream) wakeInvalServers() {
+	for k := range st.invalPark {
+		st.invalPark[k].Unpark()
+	}
 }
 
 // System owns the shared state of one STM instance: the commit streams
@@ -269,6 +304,7 @@ func newSystem(cfg Config) (*System, error) {
 		s.slots[i].invalServer = i % s.nInvalPerShard
 		s.slots[i].selfMask = newSlotMask(cfg.MaxThreads)
 		s.slots[i].selfMask.set(i)
+		s.slots[i].park.Init()
 		s.partMask[i%s.nInvalPerShard].set(i)
 		s.freeSlots = append(s.freeSlots, cfg.MaxThreads-1-i)
 	}
@@ -277,6 +313,12 @@ func newSystem(cfg Config) (*System, error) {
 	for j := range s.streams {
 		s.streams[j].invalTS = make([]padded.Uint64, s.nInvalPerShard)
 		s.streams[j].ring = make([]padded.Pointer[commitDesc], cfg.StepsAhead+1)
+		s.streams[j].serverPark.Init()
+		s.streams[j].drainPark.Init()
+		s.streams[j].invalPark = make([]spin.Parker, s.nInvalPerShard)
+		for k := range s.streams[j].invalPark {
+			s.streams[j].invalPark[k].Init()
+		}
 	}
 
 	if cfg.Trace {
@@ -334,6 +376,9 @@ func newSystem(cfg Config) (*System, error) {
 // from client time.
 func (s *System) startServers() {
 	if s.tseries != nil {
+		// The baseline is taken here, not by the sampler goroutine, so the
+		// first window covers every commit made after New returns.
+		s.tsTick(time.Now().UnixNano())
 		s.tsStop = make(chan struct{})
 		s.wg.Add(1)
 		go func() {
@@ -399,6 +444,11 @@ func (s *System) Close() error {
 	s.regMu.Unlock()
 
 	s.stop.Store(true)
+	// Parked servers re-check stop when woken (DESIGN.md §5).
+	for j := range s.streams {
+		s.streams[j].serverPark.Unpark()
+		s.streams[j].wakeInvalServers()
+	}
 	if s.flightStop != nil {
 		close(s.flightStop)
 	}
@@ -437,6 +487,11 @@ func (s *System) Register() (*Thread, error) {
 		slot:  sl,
 		ws:    newWriteSet(s.cfg.Bloom),
 		stats: &th.stats,
+	}
+	if s.shardMask == 0 {
+		// With one stream every field of a commit request is fixed for the
+		// Thread's lifetime, so the RInval engines reuse this one.
+		th.tx.req = &commitReq{ws: th.tx.ws, writes: 1, touched: 1}
 	}
 	if s.tracer != nil {
 		th.tx.ring = s.tracer.Ring(idx)
@@ -632,18 +687,21 @@ func (s *System) roFloorNow() uint64 {
 // odd in ascending order and lowers them in descending order — the lowest
 // participating stream's odd window encloses the others — so a commit whose
 // write-back overlapped the first pass either shows odd on some stream or
-// changes a timestamp between the passes. false after the retry budget means
-// the caller should fall back to the regular path rather than spin against a
-// saturated commit pipeline.
+// changes a timestamp between the passes. A failed collect waits out the
+// in-flight epoch and retries, as a regular reader waits for an even
+// timestamp: every odd window ends once its commit-server finishes the
+// write-back, and between epochs the timestamps stay even while the next
+// batch is collected, so the capture does not starve. It must not give up
+// instead — the regular path it would fall back to can abort.
 //
 //stm:hotpath
-func (s *System) captureSnapshot(dst []uint64) bool {
+func (s *System) captureSnapshot(dst []uint64) {
 	if len(s.streams) == 1 {
 		dst[0] = s.streams[0].ts.Load() &^ 1
-		return true
+		return
 	}
 	var w spin.Waiter
-	for attempt := 0; attempt < 8; attempt++ {
+	for {
 		stable := true
 		for j := range s.streams {
 			t := s.streams[j].ts.Load()
@@ -662,11 +720,10 @@ func (s *System) captureSnapshot(dst []uint64) bool {
 			}
 		}
 		if stable {
-			return true
+			return
 		}
 		w.Wait()
 	}
-	return false
 }
 
 // invalidateOthers dooms every in-flight transaction outside the skip set
@@ -684,6 +741,7 @@ func (s *System) captureSnapshot(dst []uint64) bool {
 // check would reject, never skip a true conflict — so the doom decision is
 // still made exactly where it was at seed. Config.FlatScan restores the
 // seed's walk over all MaxThreads slots for measurement.
+//
 //stm:hotpath
 func (s *System) invalidateOthers(skip slotMask, bf *bloom.Filter, ring *obs.Ring, kd *killDesc) uint64 {
 	var doomed uint64
@@ -710,6 +768,7 @@ func (s *System) invalidateOthers(skip slotMask, bf *bloom.Filter, ring *obs.Rin
 // partition k (the bitmap words masked by partMask[k]). Every stream's
 // server k covers the same slot partition; concurrent scans from different
 // streams are safe because the doom CAS is epoch-guarded and idempotent.
+//
 //stm:hotpath
 func (s *System) invalidatePartition(k int, skip slotMask, bf *bloom.Filter, ring *obs.Ring, kd *killDesc) uint64 {
 	var doomed uint64
@@ -739,6 +798,7 @@ func (s *System) invalidatePartition(k int, skip slotMask, bf *bloom.Filter, rin
 // header); the status word is captured before the full filter intersection
 // so the CAS can only doom the exact transaction incarnation whose bits
 // were observed.
+//
 //stm:hotpath
 func (s *System) invalidateSlot(i int, sum uint64, bf *bloom.Filter, ring *obs.Ring, kd *killDesc) uint64 {
 	sl := &s.slots[i]
@@ -770,6 +830,7 @@ func (s *System) invalidateSlot(i int, sum uint64, bf *bloom.Filter, ring *obs.R
 // slot may be idle — gate on inUse and the status word first) and no summary
 // rejection. Kept behind Config.FlatScan as the measured baseline and the
 // differential-test oracle for the two-level path.
+//
 //stm:hotpath
 func (s *System) invalidateSlotFlat(i int, bf *bloom.Filter, ring *obs.Ring, kd *killDesc) uint64 {
 	sl := &s.slots[i]
@@ -796,6 +857,7 @@ func (s *System) invalidateSlotFlat(i int, bf *bloom.Filter, ring *obs.Ring, kd 
 // countConflictingReaders counts in-flight transactions whose read signature
 // intersects bf — the CMReaderBiased policy's doom estimate. Same two-level
 // structure as the invalidation scan, without the doom.
+//
 //stm:hotpath
 func (s *System) countConflictingReaders(committer int, bf *bloom.Filter) int {
 	n := 0
@@ -846,6 +908,7 @@ func (s *System) countConflictingReaders(committer int, bf *bloom.Filter) int {
 // commit), so the bitmap is a conservative superset of the pending set; the
 // caller re-checks state on each candidate. With FlatScan every slot index
 // is a candidate, as at seed.
+//
 //stm:hotpath
 func (s *System) appendPendingCandidates(buf []int, from int) []int {
 	if s.cfg.FlatScan {

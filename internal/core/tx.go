@@ -16,8 +16,7 @@ import (
 type conflictSignal struct{}
 
 // roFallbackSignal unwinds a snapshot read-only attempt whose snapshot fell
-// off a Var's bounded history ring (the writers lapped it, or the commit
-// pipeline never went quiet long enough to capture a cut). It is deliberately
+// off a Var's bounded history ring (the writers lapped it). It is deliberately
 // not a conflictSignal: nothing doomed the reader and there is no engine
 // state to roll back or abort reason to record — AtomicallyRO catches it,
 // counts Stats.ROFallbacks, and re-runs the body once on the regular path.
@@ -123,7 +122,7 @@ func (th *Thread) AtomicallyRO(fn func(*Tx) error) error {
 		if err, ok := tx.runSnapshot(fn); ok {
 			return err
 		}
-		// Lapped (or capture never stabilized): one shot on the regular path.
+		// Lapped: one shot on the regular path.
 	}
 	return tx.retryLoop(fn)
 }
@@ -188,10 +187,7 @@ func (tx *Tx) runSnapshot(fn func(*Tx) error) (err error, ok bool) {
 	sys.roEpoch[tx.th.idx].Store(prov)
 	sys.roActive.set(tx.th.idx)
 	defer sys.roActive.clear(tx.th.idx)
-	if !sys.captureSnapshot(tx.snap) {
-		atomic.AddUint64(&tx.stats.ROFallbacks, 1)
-		return nil, false
-	}
+	sys.captureSnapshot(tx.snap)
 	// Tighten the published bound to the snapshot's actual minimum so GC
 	// reclaims up to what this reader really needs. Raising it is safe: the
 	// floor takes the minimum over all live readers and the resolve rule
@@ -268,6 +264,10 @@ type Tx struct {
 	rs    readSet
 	ws    *writeSet
 	start uint64 // NOrec: timestamp snapshot
+
+	// req is the Thread's reusable RInval commit request when Shards == 1
+	// (built at Register; nil under sharding, where each commit builds one).
+	req *commitReq
 
 	attempts int
 	stats    *Stats
@@ -394,6 +394,7 @@ func (tx *Tx) run(fn func(*Tx) error) (err error, conflicted bool) {
 //
 // Counter updates here and below are atomic adds so System.Stats can read a
 // live thread's counters without a data race; the thread is the only writer.
+//
 //stm:hotpath
 func (tx *Tx) Load(v *Var) any {
 	atomic.AddUint64(&tx.stats.Reads, 1)
@@ -444,6 +445,7 @@ func (tx *Tx) loadSnapshot(v *Var) any {
 }
 
 // Store buffers a write of val to v; it becomes visible atomically at commit.
+//
 //stm:hotpath
 func (tx *Tx) Store(v *Var, val any) {
 	if tx.roUser {
@@ -454,6 +456,7 @@ func (tx *Tx) Store(v *Var, val any) {
 }
 
 // finishCommit drives the engine commit and updates stats/slot state.
+//
 //stm:hotpath
 func (tx *Tx) finishCommit() bool {
 	var t0 time.Time

@@ -1,14 +1,17 @@
-// Package spin provides spin-wait helpers that stay live on any GOMAXPROCS.
+// Package spin provides the wait helpers of the STM, live on any GOMAXPROCS.
 //
 // The paper's algorithms spin: clients spin on their request slot waiting for
 // the commit-server's reply, servers spin scanning for pending requests, and
 // readers spin waiting for the global timestamp to turn even. On the paper's
-// testbed every spinner owned a core; under the Go runtime — and in this
-// reproduction's single-core CI environment — a naive busy loop would starve
-// the very goroutine it is waiting for. Waiter implements an adaptive policy:
-// a short busy phase (cheap when the condition flips quickly on a multicore
-// box), then cooperative yields, then progressively longer sleeps so that an
-// idle server consumes negligible CPU.
+// testbed every spinner owned a core; under the Go runtime, with fewer cores
+// than goroutines, a busy loop starves the very goroutine it is waiting for.
+//
+// Parker is the wait for one known peer goroutine: spin a short Budget, then
+// block until the peer, which changed the awaited condition, wakes it. The
+// RInval clients and servers wait on each other this way (DESIGN.md §5).
+// Waiter is the wait for a condition with many possible writers: a short
+// busy phase, then cooperative yields, then progressively longer sleeps so
+// that a long wait consumes negligible CPU.
 package spin
 
 import (
